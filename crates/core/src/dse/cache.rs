@@ -1,22 +1,23 @@
-//! On-disk layer of the global analysis cache: warm sweeps across
+//! On-disk layer of the analysis and pass caches: warm sweeps across
 //! processes and shards.
 //!
-//! A [`GlobalAnalysisCache`]
-//! memoizes throughput analyses within one process. This module persists
-//! it under a directory (`mamps dse --cache-dir DIR`) so the next run —
+//! A [`GlobalAnalysisCache`] memoizes throughput analyses and a
+//! [`PassCache`] memoizes pass outputs within one process. This module
+//! persists both under a directory (`--cache-dir DIR`) so the next run —
 //! the same process re-invoked, or the *other shards* of a split sweep —
-//! starts warm:
+//! starts warm. Both layers go through one loader and one writer:
 //!
 //! * **Format.** One JSON object per line
-//!   ([`CacheEntry`], canonical bytes),
-//!   seq-free: lines are keyed by the entry's graph fingerprint and
-//!   options, so files can be concatenated, truncated or partially
-//!   written without any ordering contract. Entries are exported sorted
-//!   by key, so equal caches produce identical files.
+//!   ([`mamps_sdf::cache::CacheEntry`] / [`mamps_sdf::passes::PassEntry`],
+//!   canonical bytes), seq-free: lines are keyed by the entry itself, so
+//!   files can be concatenated, truncated or partially written without
+//!   any ordering contract. Entries are exported sorted by key, so equal
+//!   caches produce identical files.
 //! * **Naming.** Each run writes `analysis-cache-<index>-of-<count>.jsonl`
-//!   for its own [`ShardSpec`] — concurrent shard processes sharing one
-//!   `--cache-dir` never write the same file — and loads *every*
-//!   `*.jsonl` in the directory on startup, whichever shard produced it.
+//!   and `pass-cache-<index>-of-<count>.jsonl` for its own [`ShardSpec`] —
+//!   concurrent shard processes sharing one `--cache-dir` never write the
+//!   same file — and loads every `*.jsonl` of its layer in the directory
+//!   on startup, whichever shard produced it.
 //! * **Robustness.** The cache is advisory: a line that fails to parse
 //!   (torn tail of a killed run, foreign file) is skipped and counted,
 //!   never an error — the worst case is re-analysing a design point.
@@ -27,9 +28,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use mamps_sdf::cache::{CacheEntry, GlobalAnalysisCache};
-use mamps_sdf::passes::{PassCache, PassEntry};
-use serde::Serialize;
+use mamps_sdf::cache::GlobalAnalysisCache;
+use mamps_sdf::passes::PassCache;
+use serde::{Deserialize, Serialize};
 
 use crate::dse::shard::ShardSpec;
 
@@ -61,100 +62,94 @@ impl std::fmt::Display for CacheDirLoad {
     }
 }
 
-/// Loads every `*.jsonl` file of `dir` into `cache`. A missing directory
-/// is an empty cache, not an error (the run will create it on persist).
-/// Files are visited in name order, so which duplicate of a key wins is
-/// deterministic.
+/// File-name prefix of the pass-cache layer's files.
+const PASS_CACHE_PREFIX: &str = "pass-cache-";
+
+/// Loads every `*.jsonl` file of `dir` whose name `layer` accepts, in
+/// name order (so which duplicate of a key wins is deterministic),
+/// handing each file's parsed entries to `import`. A missing directory
+/// loads nothing; a line that does not parse as an `E` is skipped and
+/// counted.
+fn load_jsonl<E: for<'de> Deserialize<'de>>(
+    dir: &Path,
+    layer: impl Fn(&str) -> bool,
+    mut import: impl FnMut(Vec<E>) -> usize,
+) -> io::Result<CacheDirLoad> {
+    let mut load = CacheDirLoad::default();
+    let entries = match fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
+        Err(e) => return Err(e),
+    };
+    let mut files: Vec<PathBuf> = entries
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .filter(|p| layer(p.file_name().and_then(|n| n.to_str()).unwrap_or("")))
+        .collect();
+    files.sort();
+    for path in files {
+        let text = fs::read_to_string(&path)?;
+        let mut parsed: Vec<E> = Vec::new();
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            match serde::json::from_str::<E>(line) {
+                Ok(e) => parsed.push(e),
+                Err(_) => load.skipped_lines += 1,
+            }
+        }
+        load.imported += import(parsed);
+        load.files += 1;
+    }
+    Ok(load)
+}
+
+/// Writes `entries` as canonical JSON lines to `dir/name` (creating the
+/// directory if needed) through a temporary file renamed into place, so
+/// concurrent loaders see either the old or the new file, never a torn
+/// one.
+fn persist_jsonl<E: Serialize>(dir: &Path, name: String, entries: &[E]) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let mut out = String::new();
+    for entry in entries {
+        serde::json::emit(&entry.to_value(), &mut out);
+        out.push('\n');
+    }
+    let tmp = dir.join(format!(".{name}.tmp"));
+    let path = dir.join(name);
+    fs::write(&tmp, out)?;
+    fs::rename(&tmp, &path)?;
+    Ok(path)
+}
+
+/// Loads every `*.jsonl` file of `dir` except the pass-cache layer's
+/// into `cache`. A missing directory is an empty cache, not an error (the
+/// run will create it on persist).
 ///
 /// # Errors
 ///
 /// Only real I/O errors (unreadable directory or file); parse failures
 /// are skipped and counted in [`CacheDirLoad::skipped_lines`].
 pub fn load_cache_dir(cache: &GlobalAnalysisCache, dir: &Path) -> io::Result<CacheDirLoad> {
-    let mut load = CacheDirLoad::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(e),
-    };
-    // Pass-cache files share the directory but carry a different record
-    // type; they are loaded by `load_pass_cache_dir`, not here.
-    let mut files: Vec<PathBuf> = entries
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .filter(|p| !file_name_starts_with(p, PASS_CACHE_PREFIX))
-        .collect();
-    files.sort();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let mut parsed: Vec<CacheEntry> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde::json::from_str::<CacheEntry>(line) {
-                Ok(e) => parsed.push(e),
-                Err(_) => load.skipped_lines += 1,
-            }
-        }
-        load.imported += cache.import(parsed);
-        load.files += 1;
-    }
-    Ok(load)
-}
-
-/// File-name prefix of the pass-cache layer's files.
-const PASS_CACHE_PREFIX: &str = "pass-cache-";
-
-fn file_name_starts_with(path: &Path, prefix: &str) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.starts_with(prefix))
+    load_jsonl(
+        dir,
+        |n| !n.starts_with(PASS_CACHE_PREFIX),
+        |e| cache.import(e),
+    )
 }
 
 /// Loads every `pass-cache-*.jsonl` file of `dir` into `cache`, with the
-/// same contract as [`load_cache_dir`]: a missing directory is an empty
-/// cache, files are visited in name order, unparseable lines are skipped
-/// and counted.
+/// same contract as [`load_cache_dir`].
 ///
 /// # Errors
 ///
 /// Only real I/O errors (unreadable directory or file).
 pub fn load_pass_cache_dir(cache: &PassCache, dir: &Path) -> io::Result<CacheDirLoad> {
-    let mut load = CacheDirLoad::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(e),
-    };
-    let mut files: Vec<PathBuf> = entries
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .filter(|p| file_name_starts_with(p, PASS_CACHE_PREFIX))
-        .collect();
-    files.sort();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let mut parsed: Vec<PassEntry> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde::json::from_str::<PassEntry>(line) {
-                Ok(e) => parsed.push(e),
-                Err(_) => load.skipped_lines += 1,
-            }
-        }
-        load.imported += cache.import(parsed);
-        load.files += 1;
-    }
-    Ok(load)
+    load_jsonl(
+        dir,
+        |n| n.starts_with(PASS_CACHE_PREFIX),
+        |e| cache.import(e),
+    )
 }
 
 /// The cache file a run of shard `spec` owns inside `dir`.
@@ -162,11 +157,8 @@ pub fn cache_file_name(spec: ShardSpec) -> String {
     format!("analysis-cache-{}-of-{}.jsonl", spec.index, spec.count)
 }
 
-/// Persists `cache` to its shard-owned file in `dir` (creating the
-/// directory if needed) and returns the written path. The file is
-/// replaced atomically (write to a temporary name, then rename), so
-/// concurrent loaders see either the old or the new cache, never a torn
-/// one.
+/// Persists `cache`, sorted by key, to its shard-owned file in `dir` and
+/// returns the written path.
 ///
 /// # Errors
 ///
@@ -176,18 +168,7 @@ pub fn persist_cache(
     dir: &Path,
     spec: ShardSpec,
 ) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let name = cache_file_name(spec);
-    let mut out = String::new();
-    for entry in cache.export() {
-        serde::json::emit(&entry.to_value(), &mut out);
-        out.push('\n');
-    }
-    let tmp = dir.join(format!(".{name}.tmp"));
-    let path = dir.join(name);
-    fs::write(&tmp, out)?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
+    persist_jsonl(dir, cache_file_name(spec), &cache.export())
 }
 
 /// The pass-cache file a run of shard `spec` owns inside `dir`.
@@ -202,18 +183,7 @@ pub fn pass_cache_file_name(spec: ShardSpec) -> String {
 ///
 /// I/O errors creating the directory or writing the file.
 pub fn persist_pass_cache(cache: &PassCache, dir: &Path, spec: ShardSpec) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let name = pass_cache_file_name(spec);
-    let mut out = String::new();
-    for entry in cache.export() {
-        serde::json::emit(&entry.to_value(), &mut out);
-        out.push('\n');
-    }
-    let tmp = dir.join(format!(".{name}.tmp"));
-    let path = dir.join(name);
-    fs::write(&tmp, out)?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
+    persist_jsonl(dir, pass_cache_file_name(spec), &cache.export())
 }
 
 #[cfg(test)]

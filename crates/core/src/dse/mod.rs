@@ -9,8 +9,10 @@
 //! e.g. a `spiral` point that ties `greedy` throughput at fewer allocated
 //! NoC wire-links. Design points are independent full flow runs, so
 //! [`explore_report`] evaluates them concurrently via
-//! [`crate::parallel::parallel_map`] when [`FlowOptions::jobs`] asks for
+//! [`crate::parallel::dynamic_map`] when [`FlowOptions::jobs`] asks for
 //! it; the result is point-for-point identical to the sequential sweep.
+//! Every sweep — in process, sharded, resumed or served — runs through
+//! one executor in [`shard`].
 //! Infeasible points are not silently discarded: they come back as
 //! [`SkippedPoint`]s naming the strategy and the failing flow step,
 //! surfaced by `mamps dse` and [`crate::report::render_dse_report`].
@@ -125,41 +127,6 @@ pub struct DseReport {
 /// One platform configuration of a sweep: tile count, interconnect kind
 /// and its instantiation, and the binding strategy.
 pub(crate) type SweepConfig = (usize, &'static str, Interconnect, StrategyHandle);
-
-/// The strategies a sweep evaluates: [`FlowOptions::binders`], falling
-/// back to the single configured `map.bind.strategy` when empty.
-pub(crate) fn sweep_strategies(opts: &FlowOptions) -> Vec<StrategyHandle> {
-    if opts.binders.is_empty() {
-        vec![opts.map.bind.strategy.clone()]
-    } else {
-        opts.binders.clone()
-    }
-}
-
-/// Enumerates the design-point space in its canonical order (strategy
-/// outermost, then tile count, FSL before NoC). Sharding partitions this
-/// sequence; its order is part of the shard-file contract.
-pub(crate) fn sweep_configs(
-    strategies: &[StrategyHandle],
-    tile_counts: &[usize],
-    include_noc: bool,
-) -> Vec<SweepConfig> {
-    let mut configs = Vec::new();
-    for strategy in strategies {
-        for &tiles in tile_counts {
-            configs.push((tiles, "fsl", Interconnect::fsl(), strategy.clone()));
-            if include_noc {
-                configs.push((
-                    tiles,
-                    "noc",
-                    Interconnect::noc_for_tiles(tiles),
-                    strategy.clone(),
-                ));
-            }
-        }
-    }
-    configs
-}
 
 /// Runs the full flow for one sweep configuration.
 pub(crate) fn evaluate_dse_config(

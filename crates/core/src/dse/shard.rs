@@ -6,10 +6,10 @@
 //!
 //! 1. **Partitioning.** [`ShardSpec`] `index/count` (the CLI's
 //!    `--shard i/n`) deterministically assigns every design point of the
-//!    canonical sweep order — see `sweep_configs` in [`crate::dse`] — to
-//!    exactly one shard, round-robin by sequence number. Round-robin
-//!    balances load across shards even though small-tile-count points are
-//!    much cheaper than large ones.
+//!    canonical sweep order (strategy outermost, then tile count, FSL
+//!    before NoC) to exactly one shard, round-robin by sequence number.
+//!    Round-robin balances load across shards even though
+//!    small-tile-count points are much cheaper than large ones.
 //! 2. **Serialization.** A shard run produces a [`DseShard`]: a header
 //!    identifying the sweep (its [`SweepSignature`]), the shard, and the
 //!    total design-point count, plus one seq-tagged record per evaluated
@@ -24,17 +24,18 @@
 //!    *not* merged per shard: the merged report carries all points, and
 //!    rendering recomputes the global front per strategy.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
-use mamps_mapping::StrategyHandle;
+use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
 use serde::{Deserialize, Serialize};
 
 use crate::dse::{
     evaluate_dse_config, evaluate_use_case_config, sort_dse_points, sort_use_case_points,
-    sweep_configs, sweep_strategies, use_case_context, DsePoint, DseReport, SkippedPoint,
-    SweepConfig, UseCaseDseReport, UseCasePoint,
+    use_case_context, DsePoint, DseReport, SkippedPoint, SweepConfig, UseCaseDseReport,
+    UseCasePoint,
 };
 use crate::flow::FlowOptions;
 use crate::parallel::dynamic_map;
@@ -227,18 +228,9 @@ impl DseShard {
     /// first. The encoding is canonical — equal shards produce identical
     /// bytes.
     pub fn to_jsonl(&self) -> String {
-        use serde::{Serialize, Value};
-        // Build the externally-tagged lines by hand instead of cloning
-        // the header and every record into a ShardLine: identical bytes
-        // (pinned by the round-trip fixpoint test), no per-record clone.
-        let tagged =
-            |tag: &str, v: &dyn Serialize| Value::Map(vec![(tag.to_string(), v.to_value())]);
-        let mut out = String::new();
-        serde::json::emit(&tagged("Header", &self.header), &mut out);
-        out.push('\n');
+        let mut out = tagged_line("Header", &self.header);
         for r in &self.records {
-            serde::json::emit(&tagged("Record", r), &mut out);
-            out.push('\n');
+            out.push_str(&tagged_line("Record", r));
         }
         out
     }
@@ -370,6 +362,19 @@ impl DseShard {
         sort_use_case_points(&mut report.points);
         report
     }
+}
+
+/// One `{"Header":…}` / `{"Record":…}` shard-file line, newline included.
+/// The externally-tagged value is built by hand instead of cloning the
+/// header or record into a `ShardLine` (identical bytes, pinned by the
+/// round-trip fixpoint test). The service's spool appends these lines one
+/// at a time, so a spool file *is* a shard file.
+pub(crate) fn tagged_line(tag: &str, v: &dyn Serialize) -> String {
+    let value = serde::Value::Map(vec![(tag.to_string(), v.to_value())]);
+    let mut out = String::new();
+    serde::json::emit(&value, &mut out);
+    out.push('\n');
+    out
 }
 
 /// Errors reading a single shard file.
@@ -612,17 +617,6 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<MergedReport, MergeError> {
     })
 }
 
-/// The design points of the canonical sweep order that `spec` owns, with
-/// their sequence numbers.
-fn owned_configs(configs: Vec<SweepConfig>, spec: ShardSpec) -> Vec<(u64, SweepConfig)> {
-    configs
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (i as u64, c))
-        .filter(|(seq, _)| spec.owns(*seq))
-        .collect()
-}
-
 /// Errors seeding a sweep from partial shard files (`mamps dse --resume`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResumeError {
@@ -681,54 +675,130 @@ pub(crate) fn seed_outcomes(
     Ok(seeded)
 }
 
-/// Builds the header every run of a given sweep builds — the one place
-/// the sweep's identity is assembled, shared by the in-process
-/// `explore_*` entry points and the [`crate::serve`] coordinator (whose
-/// byte-identical-report contract depends on constructing the very same
-/// header as a single-process run).
-pub(crate) fn sweep_header(
-    mode: SweepMode,
-    apps: Vec<String>,
-    tile_counts: &[usize],
-    include_noc: bool,
-    strategies: &[StrategyHandle],
-    spec: ShardSpec,
-    total_configs: u64,
-) -> ShardHeader {
-    ShardHeader {
-        mode,
-        shard: spec,
-        total_configs,
-        signature: SweepSignature {
+/// One sweep, resolved for evaluation: its applications, its canonical
+/// design-point list and the header every run of it writes. This is the
+/// one sweep executor: the in-process `explore_*` entry points run it,
+/// and the [`crate::serve`] coordinator and workers build it through
+/// [`crate::serve::ResolvedSweep`] — so a served sweep has the very
+/// identity, and renders the very report, of a single-process run.
+pub(crate) struct Sweep<'a> {
+    apps: Cow<'a, [ApplicationModel]>,
+    configs: Vec<SweepConfig>,
+    header: ShardHeader,
+}
+
+impl<'a> Sweep<'a> {
+    /// The sweep of `apps` (exactly one for [`SweepMode::Binders`]) over
+    /// `tile_counts` × FSL (and NoC when `include_noc`) × the strategies
+    /// of `opts`, owning the design points of [`FlowOptions::shard`].
+    pub(crate) fn new(
+        mode: SweepMode,
+        apps: Cow<'a, [ApplicationModel]>,
+        tile_counts: &[usize],
+        include_noc: bool,
+        opts: &FlowOptions,
+    ) -> Sweep<'a> {
+        // `FlowOptions::binders`, falling back to the single configured
+        // `map.bind.strategy` when empty.
+        let strategies = if opts.binders.is_empty() {
+            vec![opts.map.bind.strategy.clone()]
+        } else {
+            opts.binders.clone()
+        };
+        // The canonical order: strategy outermost, then tile count, FSL
+        // before NoC. Sharding partitions this sequence; its order is part
+        // of the shard-file contract.
+        let mut configs = Vec::new();
+        for strategy in &strategies {
+            for &tiles in tile_counts {
+                configs.push((tiles, "fsl", Interconnect::fsl(), strategy.clone()));
+                if include_noc {
+                    let noc = Interconnect::noc_for_tiles(tiles);
+                    configs.push((tiles, "noc", noc, strategy.clone()));
+                }
+            }
+        }
+        let header = ShardHeader {
+            mode,
+            shard: opts.shard.unwrap_or_else(ShardSpec::full),
+            total_configs: configs.len() as u64,
+            signature: SweepSignature {
+                apps: apps.iter().map(|a| a.graph().name().to_string()).collect(),
+                tile_counts: tile_counts.to_vec(),
+                include_noc,
+                binders: strategies.iter().map(|s| s.name().to_string()).collect(),
+            },
+        };
+        Sweep {
             apps,
-            tile_counts: tile_counts.to_vec(),
-            include_noc,
-            binders: strategies.iter().map(|s| s.name().to_string()).collect(),
-        },
+            configs,
+            header,
+        }
+    }
+
+    /// The sweep's header; its stable hash is the service's job
+    /// fingerprint.
+    pub(crate) fn header(&self) -> &ShardHeader {
+        &self.header
+    }
+
+    /// Evaluates the design points `seqs` (each below the sweep's total),
+    /// returning their records in `seqs` order. Points run concurrently
+    /// when `opts.jobs > 1` — scheduled by [`dynamic_map`], since
+    /// design-point cost is heavily skewed — with results identical to a
+    /// sequential run.
+    pub(crate) fn evaluate(&self, seqs: &[u64], opts: &FlowOptions) -> Vec<ShardRecord> {
+        let apps = &self.apps[..];
+        let ctx = (self.header.mode == SweepMode::UseCases).then(|| use_case_context(apps));
+        dynamic_map(opts.jobs, seqs, |_, &seq| {
+            let config = &self.configs[seq as usize];
+            let outcome = match &ctx {
+                Some(ctx) => {
+                    ShardOutcome::UseCase(evaluate_use_case_config(apps, ctx, config, opts))
+                }
+                None => match evaluate_dse_config(&apps[0], config, opts) {
+                    Ok(p) => ShardOutcome::Point(p),
+                    Err(s) => ShardOutcome::Skipped(s),
+                },
+            };
+            ShardRecord { seq, outcome }
+        })
+    }
+
+    /// Runs the sweep's shard: seeds the outcomes `resume` already holds,
+    /// evaluates the remaining owned design points, and merges both back
+    /// into canonical seq order.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] when a resume shard belongs to a different sweep.
+    pub(crate) fn run(
+        self,
+        opts: &FlowOptions,
+        resume: &[DseShard],
+    ) -> Result<DseShard, ResumeError> {
+        let seeded = seed_outcomes(&self.header, resume)?;
+        let spec = self.header.shard;
+        let todo: Vec<u64> = (0..self.header.total_configs)
+            .filter(|&seq| spec.owns(seq) && !seeded.contains_key(&seq))
+            .collect();
+        let mut records = self.evaluate(&todo, opts);
+        records.extend(
+            seeded
+                .into_iter()
+                .map(|(seq, outcome)| ShardRecord { seq, outcome }),
+        );
+        records.sort_by_key(|r| r.seq);
+        Ok(DseShard {
+            header: self.header,
+            records,
+        })
     }
 }
 
-/// Merges seeded outcomes with freshly evaluated records back into
-/// canonical seq order.
-fn merge_seeded(
-    mut seeded: std::collections::BTreeMap<u64, ShardOutcome>,
-    fresh: Vec<ShardRecord>,
-) -> Vec<ShardRecord> {
-    let mut records = fresh;
-    records.extend(
-        std::mem::take(&mut seeded)
-            .into_iter()
-            .map(|(seq, outcome)| ShardRecord { seq, outcome }),
-    );
-    records.sort_by_key(|r| r.seq);
-    records
-}
-
 /// Evaluates the single-application design points owned by
-/// [`FlowOptions::shard`] (the whole sweep when unset). Points are
-/// evaluated concurrently when `opts.jobs > 1` — scheduled dynamically by
-/// [`dynamic_map`], since design-point cost is heavily skewed — with
-/// results identical to a sequential run.
+/// [`FlowOptions::shard`] (the whole sweep when unset), concurrently when
+/// `opts.jobs > 1`, with results identical to a sequential run.
 pub fn explore_shard(
     app: &ApplicationModel,
     tile_counts: &[usize],
@@ -755,34 +825,8 @@ pub fn explore_shard_with_resume(
     opts: &FlowOptions,
     resume: &[DseShard],
 ) -> Result<DseShard, ResumeError> {
-    let strategies = sweep_strategies(opts);
-    let configs = sweep_configs(&strategies, tile_counts, include_noc);
-    let spec = opts.shard.unwrap_or_else(ShardSpec::full);
-    let header = sweep_header(
-        SweepMode::Binders,
-        vec![app.graph().name().to_string()],
-        tile_counts,
-        include_noc,
-        &strategies,
-        spec,
-        configs.len() as u64,
-    );
-    let seeded = seed_outcomes(&header, resume)?;
-    let todo: Vec<(u64, SweepConfig)> = owned_configs(configs, spec)
-        .into_iter()
-        .filter(|(seq, _)| !seeded.contains_key(seq))
-        .collect();
-    let fresh = dynamic_map(opts.jobs, &todo, |_, (seq, config)| ShardRecord {
-        seq: *seq,
-        outcome: match evaluate_dse_config(app, config, opts) {
-            Ok(p) => ShardOutcome::Point(p),
-            Err(s) => ShardOutcome::Skipped(s),
-        },
-    });
-    Ok(DseShard {
-        header,
-        records: merge_seeded(seeded, fresh),
-    })
+    let apps = Cow::Borrowed(std::slice::from_ref(app));
+    Sweep::new(SweepMode::Binders, apps, tile_counts, include_noc, opts).run(opts, resume)
 }
 
 /// Evaluates the use-case design points owned by [`FlowOptions::shard`]
@@ -809,32 +853,8 @@ pub fn explore_use_case_shard_with_resume(
     opts: &FlowOptions,
     resume: &[DseShard],
 ) -> Result<DseShard, ResumeError> {
-    let strategies = sweep_strategies(opts);
-    let configs = sweep_configs(&strategies, tile_counts, include_noc);
-    let spec = opts.shard.unwrap_or_else(ShardSpec::full);
-    let header = sweep_header(
-        SweepMode::UseCases,
-        apps.iter().map(|a| a.graph().name().to_string()).collect(),
-        tile_counts,
-        include_noc,
-        &strategies,
-        spec,
-        configs.len() as u64,
-    );
-    let seeded = seed_outcomes(&header, resume)?;
-    let todo: Vec<(u64, SweepConfig)> = owned_configs(configs, spec)
-        .into_iter()
-        .filter(|(seq, _)| !seeded.contains_key(seq))
-        .collect();
-    let ctx = use_case_context(apps);
-    let fresh = dynamic_map(opts.jobs, &todo, |_, (seq, config)| ShardRecord {
-        seq: *seq,
-        outcome: ShardOutcome::UseCase(evaluate_use_case_config(apps, &ctx, config, opts)),
-    });
-    Ok(DseShard {
-        header,
-        records: merge_seeded(seeded, fresh),
-    })
+    let apps = Cow::Borrowed(apps);
+    Sweep::new(SweepMode::UseCases, apps, tile_counts, include_noc, opts).run(opts, resume)
 }
 
 #[cfg(test)]

@@ -40,10 +40,10 @@ use mamps_sdf::{GlobalAnalysisCache, PassCache};
 
 use crate::dse::cache as dse_cache;
 use crate::dse::lease::{LeaseTable, MergeLedger};
-use crate::dse::shard::{seed_outcomes, DseShard, ShardSpec};
+use crate::dse::shard::{seed_outcomes, tagged_line, DseShard, ShardSpec};
 
 use super::protocol::{
-    read_msg, tagged_line, write_msg, ClientMsg, JobStats, ResolvedSweep, ServerMsg, SweepSpec,
+    read_msg, write_msg, ClientMsg, JobStats, ResolvedSweep, ServerMsg, SweepSpec,
 };
 
 /// How the coordinator runs; all knobs of `mamps dse-serve`.

@@ -14,25 +14,18 @@
 //! carry warm-cache entries, so a fresh worker starts from the
 //! coordinator's accumulated analysis/pass memo instead of cold.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
 use mamps_mapping::{strategy, StrategyHandle};
 use mamps_sdf::cache::CacheEntry;
-use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::passes::PassEntry;
 use mamps_sdf::xml::application_from_xml;
 use serde::{Deserialize, Serialize};
 
 use crate::dse::lease::SeqRange;
-use crate::dse::shard::{
-    sweep_header, ShardHeader, ShardOutcome, ShardRecord, ShardSpec, SweepMode,
-};
-use crate::dse::{
-    evaluate_dse_config, evaluate_use_case_config, sweep_configs, sweep_strategies,
-    use_case_context,
-};
+use crate::dse::shard::{ShardHeader, ShardRecord, Sweep, SweepMode};
 use crate::flow::FlowOptions;
-use crate::parallel::dynamic_map;
 
 /// A sweep as submitted over the wire: everything a worker needs to
 /// evaluate design points, self-contained (XML text inline, binder
@@ -187,14 +180,12 @@ pub fn read_msg<T: for<'de> Deserialize<'de>>(r: &mut impl BufRead) -> io::Resul
 }
 
 /// A [`SweepSpec`] parsed and resolved for evaluation: applications out
-/// of their XML, binder names out of the registry, and the canonical
-/// config order enumerated. Both ends build one: the coordinator for the
-/// sweep's identity (header → job fingerprint, total count), workers for
-/// actually evaluating leased ranges.
+/// of their XML, binder names out of the registry, then the same sweep
+/// executor the in-process `explore_*` entry points run. Both ends build
+/// one: the coordinator for the sweep's identity (header → job
+/// fingerprint, total count), workers for evaluating leased ranges.
 pub struct ResolvedSweep {
-    apps: Vec<ApplicationModel>,
-    configs: Vec<crate::dse::SweepConfig>,
-    header: ShardHeader,
+    sweep: Sweep<'static>,
 }
 
 impl ResolvedSweep {
@@ -244,34 +235,26 @@ impl ResolvedSweep {
             binders,
             ..FlowOptions::default()
         };
-        let strategies = sweep_strategies(&opts);
-        let configs = sweep_configs(&strategies, &spec.tile_counts, spec.include_noc);
-        let header = sweep_header(
+        let sweep = Sweep::new(
             spec.mode,
-            apps.iter().map(|a| a.graph().name().to_string()).collect(),
+            Cow::Owned(apps),
             &spec.tile_counts,
             spec.include_noc,
-            &strategies,
-            ShardSpec::full(),
-            configs.len() as u64,
+            &opts,
         );
-        Ok(ResolvedSweep {
-            apps,
-            configs,
-            header,
-        })
+        Ok(ResolvedSweep { sweep })
     }
 
     /// The full-sweep header — the same one `mamps dse` builds, so a
     /// ledger merged toward it renders the identical report. Its stable
     /// hash is the job fingerprint.
     pub fn header(&self) -> &ShardHeader {
-        &self.header
+        self.sweep.header()
     }
 
     /// Design points in the sweep.
     pub fn total(&self) -> u64 {
-        self.header.total_configs
+        self.header().total_configs
     }
 
     /// Evaluates the design points of `range` (clipped to the sweep),
@@ -279,40 +262,8 @@ impl ResolvedSweep {
     /// evaluates them.
     pub fn evaluate(&self, range: SeqRange, opts: &FlowOptions) -> Vec<ShardRecord> {
         let todo: Vec<u64> = range.seqs().filter(|&s| s < self.total()).collect();
-        match self.header.mode {
-            SweepMode::Binders => dynamic_map(opts.jobs, &todo, |_, &seq| ShardRecord {
-                seq,
-                outcome: match evaluate_dse_config(&self.apps[0], &self.configs[seq as usize], opts)
-                {
-                    Ok(p) => ShardOutcome::Point(p),
-                    Err(s) => ShardOutcome::Skipped(s),
-                },
-            }),
-            SweepMode::UseCases => {
-                let ctx = use_case_context(&self.apps);
-                dynamic_map(opts.jobs, &todo, |_, &seq| ShardRecord {
-                    seq,
-                    outcome: ShardOutcome::UseCase(evaluate_use_case_config(
-                        &self.apps,
-                        &ctx,
-                        &self.configs[seq as usize],
-                        opts,
-                    )),
-                })
-            }
-        }
+        self.sweep.evaluate(&todo, opts)
     }
-}
-
-/// One `{"Header":…}` / `{"Record":…}` line in exactly the bytes
-/// [`DseShard::to_jsonl`] writes — the coordinator's spool appends these
-/// incrementally, so a spool file *is* a shard file.
-pub(crate) fn tagged_line(tag: &str, v: &dyn Serialize) -> String {
-    let value = serde::Value::Map(vec![(tag.to_string(), v.to_value())]);
-    let mut out = String::new();
-    serde::json::emit(&value, &mut out);
-    out.push('\n');
-    out
 }
 
 /// Sanity-pin: a header line spooled by the coordinator must parse back
@@ -320,7 +271,7 @@ pub(crate) fn tagged_line(tag: &str, v: &dyn Serialize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::shard::DseShard;
+    use crate::dse::shard::{tagged_line, DseShard};
 
     #[test]
     fn tagged_header_line_matches_to_jsonl() {

@@ -12,30 +12,20 @@
 //!
 //! Greedy growth re-analyses the graph once per candidate channel per step,
 //! which makes the throughput kernel the hot path of the whole sizing
-//! search. Two optimizations keep that affordable:
-//!
-//! * every analysis goes through [`AnalysisCache`], which memoizes
-//!   [`ThroughputResult`]s by capacity vector (so [`size_for_throughput`]
-//!   and [`storage_throughput_pareto`] never analyse the same distribution
-//!   twice, even across calls when a cache is shared) and reuses the
-//!   kernel's scratch allocations between analyses;
-//! * independent growth candidates of one greedy step can be analysed
-//!   concurrently with the `jobs` knob of the `_with` variants — the best
-//!   candidate is still selected in channel order, so results are identical
-//!   to the sequential search.
+//! search. Every analysis therefore goes through [`AnalysisCache`], which
+//! memoizes [`ThroughputResult`]s by capacity vector (so
+//! [`size_for_throughput`] and [`storage_throughput_pareto`] never analyse
+//! the same distribution twice, even across calls when a cache is shared
+//! through the `_with` variants); the kernel reuses its scratch
+//! allocations between the analyses of one thread.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
-use crate::cache::{GlobalAnalysisCache, GraphFingerprint};
 use crate::error::SdfError;
 use crate::graph::{ActorId, ChannelId, SdfGraph};
 use crate::ratio::{gcd, Ratio};
 use crate::repetition::{repetition_vector, RepetitionVector};
-use crate::state_space::{
-    throughput, throughput_bounded, throughput_bounded_with, AnalysisOptions, ThroughputResult,
-};
+use crate::state_space::{throughput, throughput_bounded, AnalysisOptions, ThroughputResult};
 
 /// Per-channel lower bound for a deadlock-free capacity of a single channel
 /// in isolation: `p + c - gcd(p, c)`, raised to the initial token count if
@@ -49,8 +39,7 @@ pub fn capacity_lower_bound(graph: &SdfGraph, id: ChannelId) -> u64 {
 }
 
 /// Memoizes bounded throughput analyses of **one** graph by capacity
-/// vector, and carries the kernel scratch buffers so repeated analyses are
-/// allocation-free.
+/// vector.
 ///
 /// Greedy buffer growth walks a chain of capacity distributions and probes
 /// one growth step per channel at every link; sharing a cache across
@@ -62,41 +51,19 @@ pub fn capacity_lower_bound(graph: &SdfGraph, id: ChannelId) -> u64 {
 /// Analysis options *are* tracked — a call with different options than the
 /// memoized entries invalidates the table, so stale results are never
 /// returned.
-///
-/// A per-graph cache can additionally be **backed by a
-/// [`GlobalAnalysisCache`]** ([`AnalysisCache::with_global`]): local
-/// misses then consult the global table (keyed by the graph's canonical
-/// fingerprint, so entries survive across runs, graphs, and — through the
-/// disk layer — processes) before running the kernel, and every computed
-/// result is published back to it.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     map: HashMap<Vec<u64>, Result<ThroughputResult, SdfError>>,
     /// Fingerprint of the options the memoized entries were computed with.
     opts_fingerprint: Option<(bool, usize, usize)>,
-    scratch: crate::state_space::Scratch,
     hits: u64,
     misses: u64,
-    /// Cross-run backing store plus this graph's fingerprint under it.
-    global: Option<(Arc<GlobalAnalysisCache>, GraphFingerprint)>,
 }
 
 impl AnalysisCache {
     /// Creates an empty cache.
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
-    }
-
-    /// Creates a cache for `graph` backed by the global cache: local
-    /// misses are looked up in (and computed results published to)
-    /// `global` under `graph`'s canonical fingerprint. The graph passed
-    /// to later [`analyse`](Self::analyse) calls must be the one
-    /// fingerprinted here — same contract as the plain per-graph cache.
-    pub fn with_global(graph: &SdfGraph, global: Arc<GlobalAnalysisCache>) -> AnalysisCache {
-        AnalysisCache {
-            global: Some((global, GraphFingerprint::of(graph))),
-            ..AnalysisCache::default()
-        }
     }
 
     /// Analyses `graph` bounded by `caps`, returning the memoized result
@@ -116,38 +83,10 @@ impl AnalysisCache {
             self.hits += 1;
             return r.clone();
         }
-        if let Some(r) = self.global_lookup(caps, opts) {
-            self.hits += 1;
-            self.map.insert(caps.to_vec(), r.clone());
-            return r;
-        }
-        let r = throughput_bounded_with(graph, caps, opts, &mut self.scratch);
+        let r = throughput_bounded(graph, caps, opts);
         self.misses += 1;
         self.map.insert(caps.to_vec(), r.clone());
-        self.global_publish(caps, opts, r.clone());
         r
-    }
-
-    /// A hit from the global backing store, if configured and present.
-    fn global_lookup(
-        &self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-    ) -> Option<Result<ThroughputResult, SdfError>> {
-        let (global, fp) = self.global.as_ref()?;
-        global.lookup(fp, caps, opts)
-    }
-
-    /// Publishes a computed result to the global backing store, if any.
-    fn global_publish(
-        &self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-        r: Result<ThroughputResult, SdfError>,
-    ) {
-        if let Some((global, fp)) = &self.global {
-            global.insert(fp, caps, opts, r);
-        }
     }
 
     /// Drops memoized entries computed under different analysis options, so
@@ -164,38 +103,6 @@ impl AnalysisCache {
             }
             self.opts_fingerprint = Some(fp);
         }
-    }
-
-    /// Memoized result for `caps`, if present locally or in the global
-    /// backing store (no analysis is run). Counts as a hit so the
-    /// statistics agree between the sequential and the parallel
-    /// candidate-evaluation paths.
-    fn peek(
-        &mut self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-    ) -> Option<Result<ThroughputResult, SdfError>> {
-        let r = self
-            .map
-            .get(caps)
-            .cloned()
-            .or_else(|| self.global_lookup(caps, opts));
-        if let Some(r) = &r {
-            self.hits += 1;
-            self.map.entry(caps.to_vec()).or_insert_with(|| r.clone());
-        }
-        r
-    }
-
-    fn insert(
-        &mut self,
-        caps: Vec<u64>,
-        opts: &AnalysisOptions,
-        r: Result<ThroughputResult, SdfError>,
-    ) {
-        self.global_publish(&caps, opts, r.clone());
-        self.map.insert(caps, r);
-        self.misses += 1;
     }
 
     /// Number of analyses answered from the memo table.
@@ -282,8 +189,7 @@ pub fn minimal_live_capacities(graph: &SdfGraph) -> Result<Vec<u64>, SdfError> {
 ///
 /// Returns the capacities and the throughput actually achieved.
 ///
-/// Equivalent to [`size_for_throughput_with`] with a fresh cache and
-/// sequential candidate evaluation.
+/// Equivalent to [`size_for_throughput_with`] with a fresh cache.
 ///
 /// # Errors
 ///
@@ -296,12 +202,10 @@ pub fn size_for_throughput(
     target: Ratio,
     opts: &AnalysisOptions,
 ) -> Result<(Vec<u64>, ThroughputResult), SdfError> {
-    size_for_throughput_with(graph, target, opts, &mut AnalysisCache::new(), 1)
+    size_for_throughput_with(graph, target, opts, &mut AnalysisCache::new())
 }
 
-/// [`size_for_throughput`] with a shared [`AnalysisCache`] and `jobs`
-/// worker threads for the candidate evaluations of each greedy step.
-/// Results are identical for any `jobs` value.
+/// [`size_for_throughput`] with a shared [`AnalysisCache`].
 ///
 /// # Errors
 ///
@@ -311,7 +215,6 @@ pub fn size_for_throughput_with(
     target: Ratio,
     opts: &AnalysisOptions,
     cache: &mut AnalysisCache,
-    jobs: usize,
 ) -> Result<(Vec<u64>, ThroughputResult), SdfError> {
     let mut caps = minimal_live_capacities(graph)?;
     let mut current = cache.analyse(graph, &caps, opts)?;
@@ -328,7 +231,7 @@ pub fn size_for_throughput_with(
         budget -= 1;
 
         // Greedy: try one growth step on each channel, keep the best.
-        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache, jobs);
+        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache);
         let mut best: Option<(usize, ThroughputResult)> = None;
         for (&(idx, _), r) in candidates.iter().zip(results) {
             let t = r?;
@@ -385,99 +288,21 @@ fn growth_candidates(graph: &SdfGraph) -> Vec<(usize, u64)> {
 }
 
 /// Analyses every candidate distribution `caps + step·e_idx` of one greedy
-/// step, returning results in candidate order. Cache hits are answered
-/// directly; misses are computed — concurrently when `jobs > 1`, each
-/// worker with its own scratch space — and memoized.
-///
-/// Small graphs fall back to the sequential path regardless of `jobs`:
-/// their analyses finish in microseconds, below the cost of spawning the
-/// scoped workers.
+/// step through `cache`, returning results in candidate order.
 fn analyse_candidates(
     graph: &SdfGraph,
     caps: &mut [u64],
     candidates: &[(usize, u64)],
     opts: &AnalysisOptions,
     cache: &mut AnalysisCache,
-    jobs: usize,
 ) -> Vec<Result<ThroughputResult, SdfError>> {
-    cache.check_options(opts);
-    let tiny = graph.actor_count() + graph.channel_count() < 32;
-    if jobs <= 1 || candidates.len() <= 1 || tiny {
-        return candidates
-            .iter()
-            .map(|&(idx, step)| {
-                caps[idx] += step;
-                let r = cache.analyse(graph, caps, opts);
-                caps[idx] -= step;
-                r
-            })
-            .collect();
-    }
-
-    let mut results: Vec<Option<Result<ThroughputResult, SdfError>>> =
-        Vec::with_capacity(candidates.len());
-    let mut missing: Vec<(usize, Vec<u64>)> = Vec::new();
-    for (ci, &(idx, step)) in candidates.iter().enumerate() {
-        caps[idx] += step;
-        match cache.peek(caps, opts) {
-            Some(r) => results.push(Some(r)),
-            None => {
-                results.push(None);
-                missing.push((ci, caps.to_vec()));
-            }
-        }
-        caps[idx] -= step;
-    }
-
-    let computed = analyse_distributions_parallel(graph, &missing, opts, jobs);
-    for ((ci, dist), r) in missing.into_iter().zip(computed) {
-        cache.insert(dist, opts, r.clone());
-        results[ci] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every candidate analysed"))
-        .collect()
-}
-
-/// Analyses independent capacity distributions on `jobs` scoped threads.
-/// Work is handed out through an atomic cursor; each worker owns its
-/// scratch space, so no locking happens on the hot path. The worker count
-/// is capped at the available parallelism (the work is CPU-bound).
-fn analyse_distributions_parallel(
-    graph: &SdfGraph,
-    work: &[(usize, Vec<u64>)],
-    opts: &AnalysisOptions,
-    jobs: usize,
-) -> Vec<Result<ThroughputResult, SdfError>> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs = jobs.min(cores).min(work.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ThroughputResult, SdfError>>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut scratch = crate::state_space::Scratch::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= work.len() {
-                        break;
-                    }
-                    let r = throughput_bounded_with(graph, &work[i].1, opts, &mut scratch);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every work item claimed")
+    candidates
+        .iter()
+        .map(|&(idx, step)| {
+            caps[idx] += step;
+            let r = cache.analyse(graph, caps, opts);
+            caps[idx] -= step;
+            r
         })
         .collect()
 }
@@ -679,11 +504,10 @@ mod tests {
         let mut cache = AnalysisCache::new();
         // 1/6 is the saturation throughput of the chain, so sizing and the
         // pareto walk stop at the same link of the greedy chain.
-        let (caps, t) =
-            size_for_throughput_with(&g, Ratio::new(1, 6), &opts, &mut cache, 1).unwrap();
+        let (caps, t) = size_for_throughput_with(&g, Ratio::new(1, 6), &opts, &mut cache).unwrap();
         let analyses_after_sizing = cache.misses();
         // The pareto walk revisits the same greedy chain: mostly cache hits.
-        let points = storage_throughput_pareto_with(&g, &opts, 32, &mut cache, 1).unwrap();
+        let points = storage_throughput_pareto_with(&g, &opts, 32, &mut cache).unwrap();
         assert!(cache.hits() > 0, "pareto should reuse sizing analyses");
         assert!(cache.misses() >= analyses_after_sizing);
         // Both searches agree on the saturation point.
@@ -710,50 +534,6 @@ mod tests {
         assert_eq!(a, analyse(&g, &[6], &AnalysisOptions::default()).unwrap());
         assert_eq!(b, analyse(&g, &[6], &auto).unwrap());
     }
-
-    #[test]
-    fn parallel_sizing_matches_sequential_on_large_ring() {
-        // Big enough (20 actors + 20 channels) to take the threaded
-        // candidate-evaluation path rather than the tiny-graph fallback.
-        let n = 20usize;
-        let mut b = SdfGraphBuilder::new("bigring");
-        let ids: Vec<_> = (0..n)
-            .map(|i| b.add_actor(format!("a{i}"), 1 + (i as u64 % 4)))
-            .collect();
-        for i in 0..n {
-            b.add_channel_with_tokens(format!("e{i}"), ids[i], 1, ids[(i + 1) % n], 1, 2);
-        }
-        let g = b.build().unwrap();
-        let opts = AnalysisOptions::default();
-        let target = Ratio::new(1, 200);
-        let seq = size_for_throughput(&g, target, &opts);
-        let par = size_for_throughput_with(&g, target, &opts, &mut AnalysisCache::new(), 4);
-        match (seq, par) {
-            (Ok(s), Ok(p)) => assert_eq!(s, p),
-            (Err(_), Err(_)) => {}
-            (s, p) => panic!("sequential/parallel sizing disagree: {s:?} vs {p:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_sizing_matches_sequential() {
-        let g = {
-            let mut b = SdfGraphBuilder::new("net");
-            let a = b.add_actor("A", 2);
-            let c = b.add_actor("B", 3);
-            let d = b.add_actor("C", 5);
-            b.add_channel("e0", a, 2, c, 3);
-            b.add_channel("e1", c, 1, d, 2);
-            b.add_channel("e2", a, 1, d, 3);
-            b.build().unwrap()
-        };
-        let opts = AnalysisOptions::default();
-        let target = Ratio::new(1, 40);
-        let seq = size_for_throughput(&g, target, &opts).unwrap();
-        let par =
-            size_for_throughput_with(&g, target, &opts, &mut AnalysisCache::new(), 4).unwrap();
-        assert_eq!(seq, par);
-    }
 }
 
 /// A point of the storage/throughput trade-off.
@@ -776,8 +556,7 @@ pub struct StoragePoint {
 /// The returned points are Pareto-optimal within the explored (greedy)
 /// chain: strictly increasing in both storage and throughput.
 ///
-/// Equivalent to [`storage_throughput_pareto_with`] with a fresh cache and
-/// sequential candidate evaluation.
+/// Equivalent to [`storage_throughput_pareto_with`] with a fresh cache.
 ///
 /// # Errors
 ///
@@ -787,12 +566,10 @@ pub fn storage_throughput_pareto(
     opts: &AnalysisOptions,
     max_steps: usize,
 ) -> Result<Vec<StoragePoint>, SdfError> {
-    storage_throughput_pareto_with(graph, opts, max_steps, &mut AnalysisCache::new(), 1)
+    storage_throughput_pareto_with(graph, opts, max_steps, &mut AnalysisCache::new())
 }
 
-/// [`storage_throughput_pareto`] with a shared [`AnalysisCache`] and `jobs`
-/// worker threads for the candidate evaluations of each greedy step.
-/// Results are identical for any `jobs` value.
+/// [`storage_throughput_pareto`] with a shared [`AnalysisCache`].
 ///
 /// # Errors
 ///
@@ -802,7 +579,6 @@ pub fn storage_throughput_pareto_with(
     opts: &AnalysisOptions,
     max_steps: usize,
     cache: &mut AnalysisCache,
-    jobs: usize,
 ) -> Result<Vec<StoragePoint>, SdfError> {
     let unbounded = throughput(graph, opts)?.iterations_per_cycle;
     let mut caps = minimal_live_capacities(graph)?;
@@ -820,7 +596,7 @@ pub fn storage_throughput_pareto_with(
         }
         // Greedy: the single growth step with the best gain. Analysis
         // errors disqualify a candidate, matching the sequential search.
-        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache, jobs);
+        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache);
         let mut best: Option<(usize, ThroughputResult)> = None;
         for (&(idx, _), r) in candidates.iter().zip(results) {
             if let Ok(t) = r {
@@ -891,15 +667,5 @@ mod pareto_tests {
         let min = minimal_live_capacities(&g).unwrap();
         let points = storage_throughput_pareto(&g, &AnalysisOptions::default(), 8).unwrap();
         assert_eq!(points[0].capacities, min);
-    }
-
-    #[test]
-    fn parallel_pareto_matches_sequential() {
-        let g = chain();
-        let opts = AnalysisOptions::default();
-        let seq = storage_throughput_pareto(&g, &opts, 32).unwrap();
-        let par =
-            storage_throughput_pareto_with(&g, &opts, 32, &mut AnalysisCache::new(), 4).unwrap();
-        assert_eq!(seq, par);
     }
 }

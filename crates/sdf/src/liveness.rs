@@ -12,6 +12,14 @@ use crate::error::SdfError;
 use crate::graph::{ActorId, SdfGraph};
 use crate::repetition::{repetition_vector, RepetitionVector};
 
+/// Most firings one abstract iteration may take (4 Mi, a 32 MiB witness
+/// order). Far above any realistic application — the checked-in examples
+/// stay below 10⁴ even after the Fig. 4 interconnect expansion — but it
+/// turns a hostile input (say, a token size of 10¹¹ bytes, which the
+/// expansion turns into that many word transfers per iteration) into an
+/// [`SdfError::AnalysisLimit`] instead of an allocation abort.
+pub const MAX_ITERATION_FIRINGS: u64 = 1 << 22;
+
 /// Result of a liveness check: the firing order of a complete iteration.
 ///
 /// The order is a valid single-processor static-order schedule of one graph
@@ -38,6 +46,8 @@ impl IterationOrder {
 /// * Propagates consistency errors from [`repetition_vector`].
 /// * [`SdfError::Deadlock`] naming the actors that still have pending
 ///   firings when execution stalls.
+/// * [`SdfError::AnalysisLimit`] when one iteration takes more than
+///   [`MAX_ITERATION_FIRINGS`] firings.
 ///
 /// # Examples
 ///
@@ -67,7 +77,15 @@ pub(crate) fn simulate_iteration(
     let n = graph.actor_count();
     let mut tokens: Vec<u64> = graph.channels().map(|(_, c)| c.initial_tokens()).collect();
     let mut remaining: Vec<u64> = (0..n).map(|i| q.of(ActorId(i))).collect();
-    let mut firings = Vec::with_capacity(q.total_firings() as usize);
+    let total = q.total_firings();
+    if total > MAX_ITERATION_FIRINGS {
+        return Err(SdfError::AnalysisLimit(format!(
+            "one iteration of `{}` needs {total} firings, over the budget of \
+             {MAX_ITERATION_FIRINGS}",
+            graph.name()
+        )));
+    }
+    let mut firings = Vec::with_capacity(total as usize);
 
     let is_ready = |tokens: &[u64], remaining: &[u64], a: usize| -> bool {
         if remaining[a] == 0 {
@@ -197,5 +215,19 @@ mod tests {
         let order = check_liveness(&g).unwrap();
         // q = (2, 3, 1): 6 firings total.
         assert_eq!(order.firings().len(), 6);
+    }
+
+    #[test]
+    fn iterations_over_the_firing_budget_are_an_analysis_limit() {
+        // q = (1, budget + 1): rejected before anything is allocated.
+        let mut b = SdfGraphBuilder::new("huge");
+        let a = b.add_actor("A", 1);
+        let c = b.add_actor("B", 1);
+        b.add_channel("e", a, MAX_ITERATION_FIRINGS, c, 1);
+        let g = b.build().unwrap();
+        match check_liveness(&g) {
+            Err(SdfError::AnalysisLimit(msg)) => assert!(msg.contains("huge"), "{msg}"),
+            other => panic!("expected an analysis limit, got {other:?}"),
+        }
     }
 }

@@ -29,24 +29,18 @@
 //!   decodes (schema drift in an on-disk cache from an older build) is
 //!   treated as a miss and recomputed — the cache can never wedge a run.
 //!
-//! The sharded-map + atomic-counter structure and the sorted
-//! export/import contract mirror [`crate::cache::GlobalAnalysisCache`];
-//! `mamps_core::dse::cache` persists [`PassEntry`] rows as JSONL next to
-//! the analysis-cache files.
+//! [`PassCache`] and [`crate::cache::GlobalAnalysisCache`] are typed
+//! wrappers over one sharded memo table (same locking, counters and
+//! sorted export/import); `mamps_core::dse::cache` persists [`PassEntry`]
+//! rows as JSONL next to the analysis-cache files.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{intern, stable_hash, Deserialize, Serialize, Value};
 
-use crate::cache::{CacheStats, FxBuild, FxHashMap};
-
-/// Number of independently locked shards, matching
-/// [`crate::cache::GlobalAnalysisCache`].
-const SHARD_COUNT: usize = 16;
+use crate::cache::{CacheStats, ShardedStore};
 
 /// Reduces the parts of a pass input to one stable 64-bit fingerprint.
 ///
@@ -59,8 +53,9 @@ pub fn fingerprint(parts: Vec<Value>) -> u64 {
     stable_hash(&Value::Seq(parts))
 }
 
-/// Cache key: which pass, over which input fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Cache key: which pass, over which input fingerprint. The derived
+/// `Ord` (pass name, then input) is the export order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct Key {
     pass: &'static str,
     input: u64,
@@ -80,13 +75,11 @@ pub struct PassEntry {
 }
 
 /// A global, thread-safe memo table from `(pass, input fingerprint)` to
-/// serialized pass output. Shared as an `Arc` through a [`PassRunner`];
-/// all methods take `&self` and shards are never locked while computing.
+/// serialized pass output. Shared as an `Arc` through a [`PassRunner`]; a
+/// typed wrapper over the same sharded store as
+/// [`crate::cache::GlobalAnalysisCache`].
 pub struct PassCache {
-    shards: [Mutex<FxHashMap<Key, Value>>; SHARD_COUNT],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+    store: ShardedStore<Key, Value>,
 }
 
 impl fmt::Debug for PassCache {
@@ -107,63 +100,31 @@ impl PassCache {
     /// An empty cache.
     pub fn new() -> PassCache {
         PassCache {
-            shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            store: ShardedStore::new(),
         }
-    }
-
-    fn shard(&self, key: &Key) -> &Mutex<FxHashMap<Key, Value>> {
-        use std::hash::BuildHasher;
-        let h = FxBuild::default().hash_one(key);
-        &self.shards[(h as usize) % SHARD_COUNT]
     }
 
     /// The memoized output for `pass` over `input`, if any. Counts a hit
     /// or a miss.
     pub fn lookup(&self, pass: &'static str, input: u64) -> Option<Value> {
-        let key = Key { pass, input };
-        let r = self
-            .shard(&key)
-            .lock()
-            .expect("pass-cache shard poisoned")
-            .get(&key)
-            .cloned();
-        match r {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        r
+        self.store.lookup(&Key { pass, input })
     }
 
-    /// Memoizes `output` for `pass` over `input`. Passes are
-    /// deterministic, so a racing duplicate insert is benign.
+    /// Memoizes `output` for `pass` over `input`, replacing a stale
+    /// entry. Passes are deterministic, so a racing duplicate insert is
+    /// benign.
     pub fn insert(&self, pass: &'static str, input: u64, output: Value) {
-        let key = Key { pass, input };
-        self.shard(&key)
-            .lock()
-            .expect("pass-cache shard poisoned")
-            .insert(key, output);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.store.insert(Key { pass, input }, output);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+        self.store.stats()
     }
 
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("pass-cache shard poisoned").len())
-            .sum()
+        self.store.len()
     }
 
     /// True when nothing is memoized.
@@ -171,41 +132,32 @@ impl PassCache {
         self.len() == 0
     }
 
-    /// Every entry as a serializable [`PassEntry`], deterministically
-    /// sorted by (pass, input) so equal caches export byte-identical
-    /// JSONL regardless of insertion or shard order.
+    /// Every entry as a serializable [`PassEntry`], sorted by (pass,
+    /// input) so equal caches export byte-identical JSONL regardless of
+    /// insertion or shard order.
     pub fn export(&self) -> Vec<PassEntry> {
-        let mut entries: Vec<PassEntry> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (k, v) in shard.lock().expect("pass-cache shard poisoned").iter() {
-                entries.push(PassEntry {
-                    pass: k.pass.to_string(),
-                    input: k.input,
-                    output: v.clone(),
-                });
-            }
-        }
-        entries.sort_by(|a, b| (&a.pass, a.input).cmp(&(&b.pass, b.input)));
-        entries
+        self.store
+            .export()
+            .into_iter()
+            .map(|(k, output)| PassEntry {
+                pass: k.pass.to_string(),
+                input: k.input,
+                output,
+            })
+            .collect()
     }
 
     /// Loads entries (e.g. parsed from an on-disk cache file) into the
     /// cache, returning how many were new. Existing entries win; imports
-    /// touch neither the hit/miss nor the insert counters.
+    /// touch no counter.
     pub fn import<I: IntoIterator<Item = PassEntry>>(&self, entries: I) -> usize {
-        let mut added = 0;
-        for e in entries {
+        self.store.import(entries.into_iter().map(|e| {
             let key = Key {
                 pass: intern(&e.pass),
                 input: e.input,
             };
-            let mut shard = self.shard(&key).lock().expect("pass-cache shard poisoned");
-            if let Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(e.output);
-                added += 1;
-            }
-        }
-        added
+            (key, e.output)
+        }))
     }
 }
 

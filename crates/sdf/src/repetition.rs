@@ -27,9 +27,13 @@ impl RepetitionVector {
         &self.entries
     }
 
-    /// Total number of firings in one iteration (useful as a work measure).
+    /// Total number of firings in one iteration (useful as a work
+    /// measure), saturating at `u64::MAX` when the sum overflows.
     pub fn total_firings(&self) -> u64 {
-        self.entries.iter().sum()
+        self.entries
+            .iter()
+            .try_fold(0u64, |acc, &q| acc.checked_add(q))
+            .unwrap_or(u64::MAX)
     }
 }
 

@@ -47,7 +47,8 @@
 //!   by slice, so a revisited state costs zero allocations and a new state
 //!   costs exactly one (its interned storage).
 //! * All scratch buffers live in a `Scratch` value that is reused across
-//!   SCC runs and — via [`crate::buffer::AnalysisCache`] — across the many
+//!   SCC runs and across every analysis of one thread ([`throughput`] and
+//!   [`throughput_bounded`] keep one per thread), such as the many
 //!   re-analyses of greedy buffer growth.
 //!
 //! The pre-optimization implementation is retained verbatim in
@@ -149,13 +150,11 @@ impl ThroughputResult {
 /// assert_eq!(t.as_f64(), 0.1);
 /// ```
 pub fn throughput(graph: &SdfGraph, opts: &AnalysisOptions) -> Result<ThroughputResult, SdfError> {
-    let mut scratch = Scratch::default();
-    throughput_with(graph, opts, &mut scratch)
+    with_thread_scratch(|scratch| throughput_with(graph, opts, scratch))
 }
 
-/// [`throughput`] with caller-provided scratch space, so repeated analyses
-/// (greedy buffer growth, DSE) reuse every internal allocation.
-pub(crate) fn throughput_with(
+/// [`throughput`] with caller-provided scratch space.
+fn throughput_with(
     graph: &SdfGraph,
     opts: &AnalysisOptions,
     scratch: &mut Scratch,
@@ -245,12 +244,11 @@ pub fn throughput_bounded(
     capacities: &[u64],
     opts: &AnalysisOptions,
 ) -> Result<ThroughputResult, SdfError> {
-    let mut scratch = Scratch::default();
-    throughput_bounded_with(graph, capacities, opts, &mut scratch)
+    with_thread_scratch(|scratch| throughput_bounded_with(graph, capacities, opts, scratch))
 }
 
 /// [`throughput_bounded`] with caller-provided scratch space.
-pub(crate) fn throughput_bounded_with(
+fn throughput_bounded_with(
     graph: &SdfGraph,
     capacities: &[u64],
     opts: &AnalysisOptions,
@@ -553,7 +551,7 @@ impl std::hash::Hasher for IdentityHasher {
 /// Reusable buffers of the kernel. One `Scratch` amortizes every allocation
 /// of the exploration across SCC runs and across repeated analyses.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     kg: KernelGraph,
     global_to_local: Vec<u32>,
     tokens: Vec<u64>,
@@ -564,6 +562,29 @@ pub(crate) struct Scratch {
     pairs: Vec<(u32, u64)>,
     key: Vec<u64>,
     seen: StateTable,
+}
+
+/// State-table words a thread keeps between analyses (32 MiB); a larger
+/// table is released, so one huge state space does not stay resident.
+const RETAINED_STATE_WORDS: usize = 1 << 22;
+
+thread_local! {
+    static THREAD_SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+/// Runs `f` on this thread's kernel buffers (the kernel never re-enters).
+/// Repeated analyses on one thread then grow the state table once instead
+/// of regrowing it from empty every time, so their memory use does not
+/// depend on where the allocator happens to place each regrown table.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let r = f(&mut scratch);
+        if scratch.seen.arena.capacity() > RETAINED_STATE_WORDS {
+            scratch.seen = StateTable::default();
+        }
+        r
+    })
 }
 
 /// Self-timed execution with recurrence detection on the strongly connected
@@ -1393,5 +1414,29 @@ mod tests {
             throughput_bounded(&g, &[1], &opts()),
             Err(SdfError::Deadlock(_))
         ));
+    }
+
+    #[test]
+    fn thread_scratch_reuse_matches_a_fresh_scratch() {
+        let mut b = SdfGraphBuilder::new("pc");
+        let p = b.add_actor("producer", 7);
+        let c = b.add_actor("consumer", 5);
+        b.add_channel("data", p, 2, c, 3);
+        let g = b.build().unwrap();
+        // Alternate capacities, with a deadlocked run in between, so every
+        // analysis starts from the buffers another one left behind.
+        for cap in [9, 4, 1, 7, 4, 9] {
+            let reused = throughput_bounded(&g, &[cap], &opts());
+            let fresh = throughput_bounded_with(&g, &[cap], &opts(), &mut Scratch::default());
+            assert_eq!(reused, fresh, "capacity {cap}");
+        }
+    }
+
+    #[test]
+    fn thread_scratch_releases_an_oversized_state_table() {
+        with_thread_scratch(|s| s.seen.arena.reserve(RETAINED_STATE_WORDS + 1));
+        THREAD_SCRATCH.with(|cell| assert_eq!(cell.borrow().seen.arena.capacity(), 0));
+        with_thread_scratch(|s| s.seen.arena.reserve(16));
+        THREAD_SCRATCH.with(|cell| assert!(cell.borrow().seen.arena.capacity() >= 16));
     }
 }

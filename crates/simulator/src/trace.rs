@@ -217,12 +217,24 @@ impl Measurement {
     /// first 10 % of iterations as warm-up (the paper's throughput is
     /// defined as a long-term average precisely to exclude initialization
     /// effects, §5).
+    ///
+    /// Self-timed execution settles into a periodic regime whose iteration
+    /// gaps can repeat with a period of several iterations (gaps `a, b, a,
+    /// b, …`). A window covering a fraction of such a period over- or
+    /// under-weights its long gaps, which on a short run reads as a few
+    /// percent below the true average. When the gaps after the warm-up
+    /// repeat with a period `p`, the window therefore starts late enough
+    /// to span a whole number of periods; otherwise it spans every
+    /// post-warm-up iteration.
     pub fn steady_throughput(&self) -> f64 {
         let n = self.iteration_times.len();
         if n < 2 {
             return 0.0;
         }
-        let k = n / 10;
+        let mut k = n / 10;
+        if let Some(p) = gap_period(&self.iteration_times[k..]) {
+            k += (n - 1 - k) % p;
+        }
         let t0 = self.iteration_times[k];
         let t1 = self.iteration_times[n - 1];
         if t1 == t0 {
@@ -275,6 +287,18 @@ impl Measurement {
     }
 }
 
+/// Longest gap period [`Measurement::steady_throughput`] looks for.
+const MAX_GAP_PERIOD: usize = 64;
+
+/// The smallest `p` such that the gaps between consecutive `times` repeat
+/// with period `p` (`gap[i] == gap[i + p]` throughout) and occur at least
+/// twice, if any `p` up to [`MAX_GAP_PERIOD`] does.
+fn gap_period(times: &[u64]) -> Option<usize> {
+    let gap = |i: usize| times[i + 1] - times[i];
+    let gaps = times.len().saturating_sub(1);
+    (1..=MAX_GAP_PERIOD.min(gaps / 2)).find(|&p| (p..gaps).all(|i| gap(i) == gap(i - p)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +344,31 @@ mod tests {
     fn first_iteration_latency() {
         assert_eq!(meas(vec![42, 52]).first_iteration_latency(), Some(42));
         assert_eq!(meas(vec![]).first_iteration_latency(), None);
+    }
+
+    #[test]
+    fn window_spans_whole_gap_periods() {
+        // Gaps alternate 1692, 2348 (period 2, 2020 cycles per iteration
+        // on average). An odd number of post-warm-up gaps used to weight
+        // the long gap once more than the short one.
+        for n in [11u64, 13, 15, 17, 20, 2001] {
+            let times: Vec<u64> = (0..n)
+                .map(|i| 3844 + (i / 2) * 4040 + (i % 2) * 1692)
+                .collect();
+            let m = meas(times);
+            assert_eq!(m.steady_throughput(), 1.0 / 2020.0, "n={n}");
+        }
+    }
+
+    #[test]
+    fn aperiodic_gaps_keep_the_full_window() {
+        // A transient right after the warm-up cut: no period covers the
+        // window, so every post-warm-up iteration counts.
+        let times = vec![0, 10, 20, 30, 45, 50, 60, 70, 80, 90, 100];
+        assert_eq!(gap_period(&times[1..]), None);
+        assert_eq!(meas(times).steady_throughput(), 9.0 / 90.0);
+        assert_eq!(gap_period(&[0, 10, 20, 30]), Some(1));
+        assert_eq!(gap_period(&[0, 10, 30]), None, "one period is not a repeat");
     }
 
     #[test]

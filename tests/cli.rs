@@ -444,6 +444,37 @@ fn cli_xml_errors_name_the_file_and_line() {
 }
 
 #[test]
+fn cli_map_rejects_an_iteration_over_the_firing_budget() {
+    if !bin().exists() {
+        eprintln!("skipping: {} not built", bin().display());
+        return;
+    }
+    // A 10^11-byte token makes the interconnect expansion ask for ~10^12
+    // word transfers per iteration: a structured error with exit 1, not
+    // an allocation abort.
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let app = std::fs::read_to_string(data.join("mjpeg_small_app.xml")).unwrap();
+    let start = app.find("tokenSize=\"").unwrap() + "tokenSize=\"".len();
+    let end = start + app[start..].find('"').unwrap();
+    let hostile = format!("{}99999999999{}", &app[..start], &app[end..]);
+    let dir = std::env::temp_dir().join(format!("mamps_cli_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let big = dir.join("big.xml");
+    std::fs::write(&big, hostile).unwrap();
+    let out = Command::new(bin())
+        .arg("map")
+        .arg(&big)
+        .arg(data.join("fsl_3tile_arch.xml"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("analysis limit"), "wrong error: {stderr}");
+    assert!(stderr.contains("firings"), "wrong error: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_sharded_dse_merges_to_the_unsharded_report() {
     if !bin().exists() {
         eprintln!("skipping: {} not built", bin().display());

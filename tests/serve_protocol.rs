@@ -254,3 +254,96 @@ fn complete_ledger_renders_like_the_plain_report() {
     let direct = mamps::flow::report::render_dse_report(&ledger.to_shard().into_dse_report());
     assert_eq!(ledger.render(), direct);
 }
+
+/// The service and the in-process sweep share one executor: for any split
+/// of the seq space into leased ranges (clipped at the sweep's end), the
+/// concatenated `ResolvedSweep` evaluations are exactly the records of
+/// `explore_shard` / `explore_use_case_shard`, in both sweep modes.
+mod executor_equivalence {
+    use super::*;
+    use mamps::flow::dse::shard::{explore_shard, explore_use_case_shard, DseShard};
+    use mamps::flow::serve::ResolvedSweep;
+    use mamps::flow::FlowOptions;
+    use mamps::mapping::strategy;
+    use std::sync::OnceLock;
+
+    const TILES: [usize; 2] = [1, 2];
+    const BINDERS: [&str; 2] = ["greedy", "spiral"];
+
+    fn xml(path: &str) -> String {
+        std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path))
+            .unwrap()
+    }
+
+    fn spec(mode: SweepMode) -> SweepSpec {
+        let apps_xml = match mode {
+            SweepMode::Binders => vec![xml("examples/generated/chain_s54.xml")],
+            SweepMode::UseCases => vec![
+                xml("examples/data/pipeline_small_app.xml"),
+                xml("examples/generated/chain_s54.xml"),
+            ],
+        };
+        SweepSpec {
+            mode,
+            apps_xml,
+            tile_counts: TILES.to_vec(),
+            include_noc: true,
+            binders: BINDERS.iter().map(|b| b.to_string()).collect(),
+        }
+    }
+
+    /// The in-process shard of the same sweep, computed once per mode.
+    fn in_process(mode: SweepMode) -> &'static DseShard {
+        static SHARDS: OnceLock<[DseShard; 2]> = OnceLock::new();
+        let shards = SHARDS.get_or_init(|| {
+            let opts = FlowOptions {
+                binders: BINDERS
+                    .iter()
+                    .map(|b| strategy::by_name(b).unwrap())
+                    .collect(),
+                ..FlowOptions::default()
+            };
+            let parse = |s: &SweepSpec| -> Vec<_> {
+                s.apps_xml
+                    .iter()
+                    .map(|x| mamps::sdf::xml::application_from_xml(x).unwrap())
+                    .collect()
+            };
+            let single = parse(&spec(SweepMode::Binders));
+            let multi = parse(&spec(SweepMode::UseCases));
+            [
+                explore_shard(&single[0], &TILES, true, &opts),
+                explore_use_case_shard(&multi, &TILES, true, &opts),
+            ]
+        });
+        &shards[usize::from(mode == SweepMode::UseCases)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn leased_ranges_concatenate_to_the_in_process_records(
+            use_cases in any::<bool>(),
+            cuts in proptest::collection::vec(0u64..12, 0..5),
+            jobs in 1usize..3,
+        ) {
+            let mode = if use_cases { SweepMode::UseCases } else { SweepMode::Binders };
+            let sweep = ResolvedSweep::new(&spec(mode)).unwrap();
+            let expected = in_process(mode);
+            prop_assert_eq!(sweep.header(), &expected.header);
+
+            let mut bounds = cuts;
+            bounds.push(0);
+            bounds.push(sweep.total() + 3); // the last lease overhangs the end
+            bounds.sort_unstable();
+            bounds.dedup();
+            let opts = FlowOptions { jobs, ..FlowOptions::default() };
+            let records: Vec<ShardRecord> = bounds
+                .windows(2)
+                .flat_map(|w| sweep.evaluate(SeqRange { start: w[0], end: w[1] }, &opts))
+                .collect();
+            prop_assert_eq!(&records, &expected.records);
+        }
+    }
+}
